@@ -120,13 +120,6 @@ void append_intervals_csv_rows(std::string& out, const IntervalSeries& series,
   }
 }
 
-std::string intervals_to_csv(const IntervalSeries& series,
-                             const CellTag& tag) {
-  std::string out = intervals_csv_header(series);
-  append_intervals_csv_rows(out, series, tag);
-  return out;
-}
-
 std::string occupancy_csv_header(std::uint32_t sets) {
   std::string out = "variant,app,trial,interval,instr_end";
   for (std::uint32_t s = 0; s < sets; ++s) {
@@ -148,13 +141,6 @@ void append_occupancy_csv_rows(std::string& out, const IntervalSeries& series,
     }
     out += '\n';
   }
-}
-
-std::string occupancy_to_csv(const IntervalSeries& series,
-                             const CellTag& tag) {
-  std::string out = occupancy_csv_header(series.occupancy_sets);
-  append_occupancy_csv_rows(out, series, tag);
-  return out;
 }
 
 void append_ndjson(std::string& out, const std::vector<TraceEvent>& events,

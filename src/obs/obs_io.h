@@ -43,16 +43,11 @@ struct CellTag {
 [[nodiscard]] std::string intervals_csv_header(const IntervalSeries& series);
 void append_intervals_csv_rows(std::string& out, const IntervalSeries& series,
                                const CellTag& tag);
-// Header + rows of one series.
-[[nodiscard]] std::string intervals_to_csv(const IntervalSeries& series,
-                                           const CellTag& tag);
 
 // ---- occupancy heatmap CSV ----
 [[nodiscard]] std::string occupancy_csv_header(std::uint32_t sets);
 void append_occupancy_csv_rows(std::string& out, const IntervalSeries& series,
                                const CellTag& tag);
-[[nodiscard]] std::string occupancy_to_csv(const IntervalSeries& series,
-                                           const CellTag& tag);
 
 // ---- NDJSON event trace ----
 void append_ndjson(std::string& out, const std::vector<TraceEvent>& events,

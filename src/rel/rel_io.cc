@@ -107,12 +107,6 @@ void append_summary_csv_row(std::string& out, const RelReport& report,
   out += '\n';
 }
 
-std::string summary_to_csv(const RelReport& report, const obs::CellTag& tag) {
-  std::string out = summary_csv_header();
-  append_summary_csv_row(out, report, tag);
-  return out;
-}
-
 std::string intervals_csv_header() {
   return "variant,app,trial,start,end,state,count,cycles,exposure\n";
 }
@@ -135,13 +129,6 @@ void append_intervals_csv_rows(std::string& out, const RelReport& report,
     out += format_value(row.exposure);
     out += '\n';
   }
-}
-
-std::string intervals_to_csv(const RelReport& report,
-                             const obs::CellTag& tag) {
-  std::string out = intervals_csv_header();
-  append_intervals_csv_rows(out, report, tag);
-  return out;
 }
 
 void append_json_object(std::string& out, const RelReport& report,

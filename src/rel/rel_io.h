@@ -33,20 +33,16 @@ namespace icr::rel {
 [[nodiscard]] std::string summary_csv_header();
 void append_summary_csv_row(std::string& out, const RelReport& report,
                             const obs::CellTag& tag);
-[[nodiscard]] std::string summary_to_csv(const RelReport& report,
-                                         const obs::CellTag& tag);
 
 // ---- interval-class CSV ----
 [[nodiscard]] std::string intervals_csv_header();
 void append_intervals_csv_rows(std::string& out, const RelReport& report,
                                const obs::CellTag& tag);
-[[nodiscard]] std::string intervals_to_csv(const RelReport& report,
-                                           const obs::CellTag& tag);
 
 // ---- JSON ----
 // Appends one JSON object for the report (same fields as the summary CSV
 // plus the interval table), indented by `indent` spaces, no trailing
-// newline. Used by sim::rel_to_json and the single-run --rel-out export.
+// newline. Used by sim::rel_to_json and icr_sim's --rel-out export.
 void append_json_object(std::string& out, const RelReport& report,
                         const obs::CellTag& tag, int indent);
 

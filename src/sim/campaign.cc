@@ -57,10 +57,28 @@ void hash_fold_config(std::uint64_t& state, const SimConfig& config) noexcept {
   }
 }
 
+// Runs `budget` instructions in observed chunks. Chunks end at absolute
+// commit targets: the commit stage overshoots each run() call by up to
+// commit_width-1, and absolute targets keep that from accumulating.
+RunResult run_observed(Simulator& simulator, std::uint64_t budget,
+                       const CellObserver& observer) {
+  const std::uint64_t chunk = std::max<std::uint64_t>(budget / 200, 10000);
+  RunResult result = simulator.result();
+  const std::uint64_t base = result.instructions;
+  const std::uint64_t target = base + budget;
+  while (result.instructions < target) {
+    const std::uint64_t next = std::min(result.instructions + chunk, target);
+    result = simulator.run(next - result.instructions);
+    observer(simulator, std::min(result.instructions - base, budget));
+  }
+  return result;
+}
+
 // Runs one cell of the expanded grid; the only writer of cells[index].
 CellResult run_cell(const CampaignSpec& spec, std::size_t variant_idx,
                     std::size_t app_idx, std::size_t trial_idx,
-                    std::uint64_t instructions) {
+                    std::uint64_t instructions,
+                    const CellObserver* observer) {
   const SchemeVariant& variant = spec.variants[variant_idx];
   const bool traced = spec.trace.enabled();
   const std::string cell_label =
@@ -137,6 +155,9 @@ CellResult run_cell(const CampaignSpec& spec, std::size_t variant_idx,
         SamplingController(simulator, sampling).run(budget);
     cell.result = std::move(sampled.estimate);
     cell.sampling = sampled.provenance;
+    if (observer != nullptr) (*observer)(simulator, budget);
+  } else if (observer != nullptr) {
+    cell.result = run_observed(simulator, budget, *observer);
   } else {
     cell.result = simulator.run(budget);
   }
@@ -343,8 +364,10 @@ std::string trace_shard_label(const CampaignSpec& spec,
 
 CellResult run_campaign_cell(const CampaignSpec& spec, std::size_t variant_idx,
                              std::size_t app_idx, std::size_t trial_idx,
-                             std::uint64_t instructions) {
-  return run_cell(spec, variant_idx, app_idx, trial_idx, instructions);
+                             std::uint64_t instructions,
+                             const CellObserver* observer) {
+  return run_cell(spec, variant_idx, app_idx, trial_idx, instructions,
+                  observer);
 }
 
 void CampaignRunner::set_default_progress_enabled(bool enabled) noexcept {
@@ -453,8 +476,8 @@ CampaignResult CampaignRunner::run(const CampaignSpec& spec) const {
     const std::size_t variant_idx = index / (apps * trials);
     const std::size_t app_idx = (index / trials) % apps;
     const std::size_t trial_idx = index % trials;
-    result.cells[index] =
-        run_cell(spec, variant_idx, app_idx, trial_idx, instructions);
+    result.cells[index] = run_cell(spec, variant_idx, app_idx, trial_idx,
+                                   instructions, nullptr);
     reporter.note();
   };
 

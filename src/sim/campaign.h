@@ -19,6 +19,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -209,6 +210,11 @@ struct CellResult {
   std::unique_ptr<rel::RelReport> rel;
 };
 
+// Watches a running cell: called with its live simulator and the
+// instructions it has committed so far (icr_sim --serve publishes these).
+using CellObserver =
+    std::function<void(Simulator& simulator, std::uint64_t done)>;
+
 // Runs one cell of the expanded grid, exactly as CampaignRunner would:
 // same seed derivation, same sampling placement, same obs/rel wiring.
 // `instructions` must be the resolved budget (spec.instructions, or
@@ -216,11 +222,15 @@ struct CellResult {
 // executors — the campaign farm's workers (src/sim/farm.h) — produce
 // bit-identical cells to an in-process run; which process runs a cell can
 // never change its numbers.
-[[nodiscard]] CellResult run_campaign_cell(const CampaignSpec& spec,
-                                           std::size_t variant_idx,
-                                           std::size_t app_idx,
-                                           std::size_t trial_idx,
-                                           std::uint64_t instructions);
+//
+// With an `observer`, a full run advances in chunks of max(budget/200,
+// 10000) instructions to absolute commit targets — the exact stream one
+// run() commits — and calls it after each chunk; a sampled cell calls it
+// once, at the end. Without one the cell runs in a single run() call.
+[[nodiscard]] CellResult run_campaign_cell(
+    const CampaignSpec& spec, std::size_t variant_idx, std::size_t app_idx,
+    std::size_t trial_idx, std::uint64_t instructions,
+    const CellObserver* observer = nullptr);
 
 // Campaign-level metadata exported alongside the cells (results_io.h).
 struct CampaignMeta {

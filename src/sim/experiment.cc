@@ -11,14 +11,6 @@ RunResult run_one(trace::App app, const core::Scheme& scheme,
   return simulator.run(instructions);
 }
 
-std::vector<RunResult> run_all_apps(const core::Scheme& scheme,
-                                    const SimConfig& config,
-                                    std::uint64_t instructions) {
-  auto matrix = run_matrix({{scheme.name, scheme, {}}}, trace::all_apps(),
-                           config, instructions);
-  return std::move(matrix.front());
-}
-
 std::vector<std::vector<RunResult>> run_matrix(
     const std::vector<SchemeVariant>& variants,
     const std::vector<trace::App>& apps, const SimConfig& config,

@@ -97,6 +97,11 @@ case "$name" in
       --threads=2 --instructions=20000 --fault-prob=1e-4 \
       --stats-interval=5000 --no-timing --csv=grid.csv --json=grid.json \
       --rel-csv=rel.csv --intervals-out=iv.csv ;;
+  bad_instructions)
+    # A value strtoull would truncate to 1 must be rejected instead.
+    run icr_sim --app=mcf --instructions=1e6 --csv ;;
+  bad_list_item)
+    run run_campaign --apps=mcf --instructions=1000 --dl1-sizes=8K,8X ;;
   *)
     echo "unknown case '$name'" >&2
     exit 2 ;;

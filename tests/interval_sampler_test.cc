@@ -2,10 +2,26 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "src/obs/obs_io.h"
+#include "src/sim/results_io.h"
 
 namespace icr::obs {
 namespace {
+
+// A one-cell campaign holding `series`, for the campaign CSV exporters.
+sim::CampaignResult one_cell(const IntervalSeries& series,
+                             std::uint32_t trial) {
+  sim::CampaignResult campaign;
+  sim::CellResult& cell = campaign.cells.emplace_back();
+  cell.result.scheme = std::string("v");
+  cell.result.app = std::string("a");
+  cell.cell.trial_idx = trial;
+  cell.obs = std::make_unique<CellObservability>();
+  cell.obs->intervals = series;
+  return campaign;
+}
 
 // A registry over hand-rolled counters whose names match the derived-column
 // lookups in obs_io (dl1.loads etc.), so the CSV's ipc/miss-rate/replication
@@ -148,8 +164,7 @@ TEST(IntervalSampler, OccupancyProbeRecordsPerSetRows) {
   EXPECT_EQ(series.samples[1].occupancy,
             (std::vector<std::uint32_t>{1, 0, 2, 0}));
 
-  const CellTag tag{"v", "a", 0};
-  const std::string csv = occupancy_to_csv(series, tag);
+  const std::string csv = sim::occupancy_to_csv(one_cell(series, 0));
   EXPECT_EQ(csv,
             "variant,app,trial,interval,instr_end,set_0,set_1,set_2,set_3\n"
             "v,a,0,0,10,1,0,2,0\n");
@@ -166,8 +181,7 @@ TEST(IntervalSampler, IntervalCsvGolden) {
   work = 25;
   sampler.sample(50, 100);
 
-  const CellTag tag{"v", "a", 1};
-  EXPECT_EQ(intervals_to_csv(sampler.series(), tag),
+  EXPECT_EQ(sim::intervals_to_csv(one_cell(sampler.series(), 1)),
             "variant,app,trial,interval,instr_end,cycles_end,d_instructions,"
             "d_cycles,ipc,dl1_miss_rate,replication_ability,d_unit.work\n"
             "v,a,1,0,50,100,50,100,0.5,0,0,25\n");

@@ -65,12 +65,48 @@ TEST(Observability, TelemetryNeverChangesResults) {
   for (std::size_t i = 0; i < obs_1t.cells.size(); ++i) {
     ASSERT_NE(obs_1t.cells[i].obs, nullptr);
     ASSERT_NE(obs_8t.cells[i].obs, nullptr);
-    const obs::CellTag tag{"v", "a", 0};
-    EXPECT_EQ(obs::intervals_to_csv(obs_1t.cells[i].obs->intervals, tag),
-              obs::intervals_to_csv(obs_8t.cells[i].obs->intervals, tag));
     EXPECT_EQ(obs_1t.cells[i].obs->trace_emitted,
               obs_8t.cells[i].obs->trace_emitted);
   }
+  EXPECT_EQ(sim::intervals_to_csv(obs_1t), sim::intervals_to_csv(obs_8t));
+}
+
+// icr_sim --serve watches its cell through run_campaign_cell's observer:
+// the observed run advances in chunks to absolute commit targets and must
+// commit exactly the stream of one uninterrupted run.
+TEST(Observability, CellObserverChunksNeverChangeResults) {
+  sim::CampaignSpec spec = small_grid();
+  spec.obs.stats_interval = 10000;
+  std::vector<std::uint64_t> done;
+  const sim::CellObserver observer = [&](sim::Simulator& simulator,
+                                         std::uint64_t committed) {
+    EXPECT_NE(simulator.observability(), nullptr);
+    done.push_back(committed);
+  };
+  const sim::CellResult plain = sim::run_campaign_cell(spec, 1, 1, 0, 40000);
+  const sim::CellResult watched =
+      sim::run_campaign_cell(spec, 1, 1, 0, 40000, &observer);
+  EXPECT_EQ(sim::metric_values(plain.result),
+            sim::metric_values(watched.result));
+  // Chunks of max(40000/200, 10000) instructions, each overshooting its
+  // target by less than the commit width, ending exactly at the budget.
+  ASSERT_EQ(done.size(), 4u);
+  for (std::uint64_t k = 0; k < done.size(); ++k) {
+    EXPECT_GE(done[k], 10000 * (k + 1));
+    EXPECT_LT(done[k], 10000 * (k + 1) + 4);  // commit_width
+  }
+  EXPECT_EQ(done.back(), 40000u);
+
+  // A sampled cell reports once, at the end.
+  spec.sampling.warmup_instructions = 5000;
+  spec.sampling.windows = 2;
+  done.clear();
+  const sim::CellResult sampled =
+      sim::run_campaign_cell(spec, 1, 1, 0, 40000, &observer);
+  EXPECT_EQ(sim::metric_values(sampled.result),
+            sim::metric_values(
+                sim::run_campaign_cell(spec, 1, 1, 0, 40000).result));
+  EXPECT_EQ(done, (std::vector<std::uint64_t>{40000}));
 }
 
 TEST(Observability, IntervalRatesWeightAverageToAggregates) {

@@ -90,7 +90,7 @@ bool parse_common_flag(const char* arg, CommonFlags& flags) {
   }
   if (parse_flag(arg, "--chunk-records", value)) {
     flags.v2.chunk_records =
-        static_cast<std::uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
+        icr::sim::cli::parse_u32(kProgram, "--chunk-records", value);
     return true;
   }
   return false;
@@ -117,11 +117,12 @@ int cmd_record(int argc, char** argv) {
     if (parse_flag(argv[i], "--app", value)) {
       app_name = value;
     } else if (parse_flag(argv[i], "--instructions", value)) {
-      instructions = std::strtoull(value.c_str(), nullptr, 10);
+      instructions =
+          icr::sim::cli::parse_u64(kProgram, "--instructions", value);
     } else if (parse_flag(argv[i], "--out", value)) {
       out = value;
     } else if (parse_flag(argv[i], "--seed", value)) {
-      seed = std::strtoull(value.c_str(), nullptr, 0);
+      seed = icr::sim::cli::parse_u64(kProgram, "--seed", value, 0);
       seed_given = true;
     } else if (!parse_common_flag(argv[i], flags)) {
       unknown_flag(kProgram, argv[i]);

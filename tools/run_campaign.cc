@@ -46,41 +46,33 @@
 
 using namespace icr;
 using sim::cli::app_by_name;
-using sim::cli::fault_by_name;
-using sim::cli::parse_flag;
 using sim::cli::scheme_by_name;
 using sim::cli::split_csv;
 
 namespace {
 
+constexpr const char* kProgram = "run_campaign";
+
 struct Options {
   std::string schemes;  // comma list; empty = all ten paper schemes
   std::string apps;     // comma list; empty = all eight applications
-  std::string trace_path;  // recorded trace replacing the app axis
-  std::uint64_t shard_instructions = 0;  // interval width; 0 = one cell
+  std::uint64_t shard_instructions = 0;  // trace interval width; 0 = one cell
   std::uint32_t trials = 1;
   unsigned threads = 0;  // 0 = ICR_SIM_THREADS or hardware concurrency
   std::uint64_t seed = 0x1C9CA37ULL;
-  std::uint64_t instructions = 0;
-  std::uint64_t window = 0;
-  std::uint64_t warmup = 0;
-  std::uint32_t sample_windows = 0;
-  std::uint64_t sample_width = 0;
-  std::string sample_mode = "systematic";
-  std::uint64_t sample_seed = 0x5A3D11ULL;
-  std::string fault_model = "random";
-  double fault_prob = 0.0;
+  bool seed_given = false;
   // Degraded-geometry sweep axes (docs/GEOMETRY.md).
   std::string dl1_sizes;      // comma list of dL1 sizes (K/M suffixes ok)
   std::string dl1_assocs;     // comma list of associativities
   std::string ways_disabled;  // comma list of disabled-way counts
-  std::string way_pattern = "fixed";  // fixed|random per-set draw
-  std::uint64_t way_seed = 0x0DDB17ULL;
   std::string csv_path;
   std::string json_path;
   bool no_timing = false;
   bool quiet = false;
   bool progress = false;
+  std::string rel_csv;
+  std::string rel_json;
+  std::string rel_intervals;
   // Farm modes (docs/CAMPAIGN.md).
   std::string farm_dir;   // coordinator: spool directory
   unsigned workers = 0;   // coordinator: processes to spawn (0 = none)
@@ -99,120 +91,107 @@ struct Options {
   std::string status_json;        // status mode: NDJSON out ("-" = stdout)
   double stale_after = 15.0;      // straggler threshold (seconds)
   double dead_after = 60.0;       // dead threshold (seconds)
-  std::string serve_spec;         // HTTP status server: PORT or ADDR:PORT
-  // Per-cell telemetry / reliability / profiling (in-process mode only).
-  std::uint64_t stats_interval = 0;
-  std::string intervals_out;
-  std::string heatmap_out;
-  std::string trace_out;
-  std::string trace_filter = "all";
-  bool rel = false;
-  std::string rel_csv;
-  std::string rel_json;
-  std::string rel_intervals;
-  bool prof = false;
-  std::string prof_out;
+  sim::cli::SharedFlags shared;
+
+  // --help sections: a heading (none for the first) and its flags.
+  std::vector<std::pair<const char*, sim::cli::FlagTable>> sections() {
+    return {
+        {nullptr,
+         {{"--schemes", "A,B,..", &schemes,
+           "scheme names (default: all ten paper schemes)"},
+          {"--apps", "a,b,..", &apps, "applications (default: all eight)"},
+          {"--shard-instructions", "N", &shard_instructions,
+           "with --trace: instructions per trace interval cell\n"
+           "(default: one cell covering the whole budget)"},
+          {"--trials", "N", &trials,
+           "repetitions per (scheme, app) cell (default 1)"},
+          {"--threads", "N", &threads,
+           "worker threads (default: ICR_SIM_THREADS or hardware)"},
+          {"--seed", "S", &seed,
+           "campaign base seed; per-cell seeds derive from it", 0,
+           &seed_given},
+          {"--dl1-sizes", "A,B,..", &dl1_sizes,
+           "geometry sweep: dL1 sizes (e.g. 8K,16K,32K); crosses\n"
+           "every scheme with every geometry cell and adds\n"
+           "provenance columns (docs/GEOMETRY.md)"},
+          {"--dl1-assocs", "A,B,..", &dl1_assocs,
+           "geometry sweep: dL1 associativities"},
+          {"--ways-disabled", "A,B,.", &ways_disabled,
+           "geometry sweep: disabled ways per set (k of N)"},
+          {"--csv", "FILE", &csv_path, "write per-cell results as CSV"},
+          {"--json", "FILE", &json_path,
+           "write campaign metadata + cells as JSON"},
+          {"--no-timing", nullptr, &no_timing,
+           "omit threads/wall-time from the JSON so identical\n"
+           "experiments export identical bytes"},
+          {"--quiet", nullptr, &quiet, "skip the summary table"},
+          {"--progress", nullptr, &progress,
+           "live completed/total + cells/sec + ETA on stderr"},
+          {"--rel-csv", "FILE", &rel_csv,
+           "write per-cell vulnerability summary CSV (--rel\n"
+           "alone writes rel.csv)"},
+          {"--rel-json", "FILE", &rel_json,
+           "write per-cell reliability reports as JSON"},
+          {"--rel-intervals", "FILE", &rel_intervals,
+           "write lifetime-interval taxonomy CSV"}}},
+        {"\nCampaign farm (multi-process; see docs/CAMPAIGN.md):",
+         {{"--farm", "DIR", &farm_dir,
+           "coordinate a farm over spool directory DIR: shard\n"
+           "the grid, spawn workers, aggregate"},
+          {"--workers", "N", &workers,
+           "worker processes to spawn (default: the --threads\n"
+           "resolution; 0 = only init/aggregate)", 10, &workers_given},
+          {"--unit-cells", "N", &unit_cells, "cells per work unit (default 4)"},
+          {"--resume", nullptr, &resume,
+           "reuse an existing spool: clear stale claims, run\n"
+           "only what is missing (exports are byte-identical\n"
+           "to an uninterrupted run)"},
+          {"--worker", nullptr, &worker,
+           "with --spool=DIR: claim and run work units from DIR\n"
+           "(start any number, on any hosts sharing the spool)"},
+          {"--spool", "DIR", &spool, "worker: spool directory"},
+          {"--max-units", "N", &max_units,
+           "worker: stop after N units (0 = run to dry)"}}},
+        {"\nFleet telemetry (docs/CAMPAIGN.md \"Fleet telemetry\"):",
+         {{"--heartbeat", "S", &heartbeat_seconds,
+           "worker heartbeat cadence in seconds (default 5;\n"
+           "0 disables heartbeats and event logs)"},
+          {"--worker-id", "ID", &worker_id,
+           "worker identity in hb/ and events/ files (default\n"
+           "pid<pid>; coordinator assigns wN)"},
+          {"--farm-trace-out", "FILE", &farm_trace_out,
+           "coordinator: profile every worker (--prof) and\n"
+           "write one merged fleet Chrome trace"},
+          {"--farm-status", "DIR", &farm_status_dir,
+           "render fleet state from spool files alone: census,\n"
+           "per-worker heartbeats, stragglers/dead workers,\n"
+           "unit latency histogram, ETA"},
+          {"--watch", "S", &watch_seconds,
+           "farm-status: refresh every S seconds (bare --watch:\n"
+           "2) until the fleet is drained"},
+          {"--status-json", "FILE", &status_json,
+           "farm-status: write NDJSON ('-' = stdout)"},
+          {"--stale-after", "S", &stale_after,
+           "heartbeat age that flags a straggler (default 15)"},
+          {"--dead-after", "S", &dead_after,
+           "heartbeat age that flags a dead worker (default 60)"}}},
+    };
+  }
 };
 
 void usage() {
+  std::puts("run_campaign — parallel (schemes x apps x trials) experiment "
+            "grids");
+  for (const auto& [heading, flags] : Options{}.sections()) {
+    if (heading != nullptr) std::puts(heading);
+    print_flags(flags);
+  }
+  sim::cli::print_shared_flags();
   std::puts(
-      "run_campaign — parallel (schemes x apps x trials) experiment grids\n"
-      "  --schemes=A,B,..      scheme names (default: all ten paper schemes)\n"
-      "  --apps=a,b,..         applications (default: all eight)\n"
-      "  --trace=FILE          replay a recorded ICRT trace instead of the\n"
-      "                        synthetic app axis; interval shards become\n"
-      "                        the cells (docs/TRACES.md)\n"
-      "  --shard-instructions=N  instructions per trace interval cell\n"
-      "                        (default: one cell covering the whole "
-      "budget)\n"
-      "  --trials=N            repetitions per (scheme, app) cell "
-      "(default 1)\n"
-      "  --threads=N           worker threads (default: ICR_SIM_THREADS or "
-      "hardware)\n"
-      "  --seed=S              campaign base seed; per-cell seeds derive "
-      "from it\n"
-      "  --instructions=N      instructions per cell (default 1M)\n"
-      "  --window=N            dead-block decay window applied to every "
-      "scheme\n"
-      "  --fault-model=M       random|adjacent|column|direct\n"
-      "  --fault-prob=P        per-cycle injection probability (default 0)\n"
-      "  --dl1-sizes=A,B,..    geometry sweep: dL1 sizes (e.g. 8K,16K,32K);\n"
-      "                        crosses every scheme with every geometry cell\n"
-      "                        and adds provenance columns (docs/GEOMETRY.md)\n"
-      "  --dl1-assocs=A,B,..   geometry sweep: dL1 associativities\n"
-      "  --ways-disabled=A,B,. geometry sweep: disabled ways per set (k of N)\n"
-      "  --way-pattern=P       fixed|random — which ways each set disables\n"
-      "  --way-seed=S          per-set draw seed for --way-pattern=random\n"
-      "  --warmup=N            functionally warm caches/predictor for N\n"
-      "                        instructions before measuring (docs/SAMPLING.md)\n"
-      "  --sample-windows=K    measure K interval-sampling windows instead\n"
-      "                        of the whole budget; metrics become weighted\n"
-      "                        whole-run estimates with provenance columns\n"
-      "  --sample-width=N      instructions per window (default: budget/10K)\n"
-      "  --sample-mode=M       systematic|random window placement\n"
-      "  --sample-seed=S       placement stream for --sample-mode=random\n"
-      "  --csv=FILE            write per-cell results as CSV\n"
-      "  --json=FILE           write campaign metadata + cells as JSON\n"
-      "  --no-timing           omit threads/wall-time from the JSON so\n"
-      "                        identical experiments export identical bytes\n"
-      "  --quiet               skip the summary table\n"
-      "  --progress            live completed/total + cells/sec + ETA on "
-      "stderr\n"
-      "\n"
-      "Campaign farm (multi-process; see docs/CAMPAIGN.md):\n"
-      "  --farm=DIR            coordinate a farm over spool directory DIR:\n"
-      "                        shard the grid, spawn workers, aggregate\n"
-      "  --workers=N           worker processes to spawn (default: the\n"
-      "                        --threads resolution; 0 = only init/aggregate)\n"
-      "  --unit-cells=N        cells per work unit (default 4)\n"
-      "  --resume              reuse an existing spool: clear stale claims,\n"
-      "                        run only what is missing (exports are byte-\n"
-      "                        identical to an uninterrupted run)\n"
-      "  --worker --spool=DIR  claim and run work units from DIR (start any\n"
-      "                        number, on any hosts sharing the spool)\n"
-      "  --max-units=N         worker: stop after N units (0 = run to dry)\n"
-      "\n"
-      "Fleet telemetry (docs/CAMPAIGN.md \"Fleet telemetry\"):\n"
-      "  --heartbeat=S         worker heartbeat cadence in seconds (default\n"
-      "                        5; 0 disables heartbeats and event logs)\n"
-      "  --worker-id=ID        worker identity in hb/ and events/ files\n"
-      "                        (default pid<pid>; coordinator assigns wN)\n"
-      "  --farm-trace-out=FILE coordinator: profile every worker (--prof)\n"
-      "                        and write one merged fleet Chrome trace\n"
-      "  --farm-status=DIR     render fleet state from spool files alone:\n"
-      "                        census, per-worker heartbeats, stragglers/\n"
-      "                        dead workers, unit latency histogram, ETA\n"
-      "  --watch[=S]           farm-status: refresh every S seconds\n"
-      "                        (default 2) until the fleet is drained\n"
-      "  --status-json=FILE    farm-status: write NDJSON ('-' = stdout)\n"
-      "  --stale-after=S       heartbeat age that flags a straggler "
-      "(default 15)\n"
-      "  --dead-after=S        heartbeat age that flags a dead worker\n"
-      "                        (default 60)\n"
-      "  --serve=[ADDR:]PORT   embedded HTTP status server (docs/SERVING.md):\n"
-      "                        GET / /healthz /status /metrics /events. Works\n"
-      "                        in --farm, in-process, and --farm-status modes\n"
-      "                        (the latter keeps serving until drained).\n"
-      "                        Binds 127.0.0.1 unless ADDR is given; port 0\n"
-      "                        picks an ephemeral port (printed at start)\n"
-      "\n"
-      "Per-cell telemetry (in-process mode only):\n"
-      "  --stats-interval=N    per-cell telemetry every N instructions\n"
-      "                        (implies --intervals-out=intervals.csv)\n"
-      "  --intervals-out=FILE  write all cells' interval telemetry CSV\n"
-      "  --heatmap-out=FILE    write all cells' replica-occupancy CSV\n"
-      "  --trace-out=FILE      write all cells' NDJSON event trace\n"
-      "  --trace-filter=LIST   categories: replication,eviction,fault,decay\n"
-      "                        or 'all' (default)\n"
-      "  --rel                 per-cell analytical reliability tracking\n"
-      "                        (implies --rel-csv=rel.csv unless given)\n"
-      "  --rel-csv=FILE        write per-cell vulnerability summary CSV\n"
-      "  --rel-json=FILE       write per-cell reliability reports as JSON\n"
-      "  --rel-intervals=FILE  write lifetime-interval taxonomy CSV\n"
-      "  --prof                profile the campaign itself: host-side\n"
-      "                        self-time table after the summary\n"
-      "  --prof-out=FILE       write the capture as Chrome trace-event JSON\n"
-      "                        (cells become spans; implies --prof)\n"
+      "\nIn run_campaign, --stats-interval alone writes intervals.csv, the\n"
+      "telemetry/rel/prof flags run in-process only, and --serve works in\n"
+      "--farm, in-process and --farm-status modes (the latter keeps serving\n"
+      "until drained).\n"
       "\n"
       "Seeding: trials > 1 (or an explicit --seed) derives each cell's\n"
       "workload and injection seeds via SplitMix64 from (seed, scheme,\n"
@@ -220,16 +199,13 @@ void usage() {
       "which process ran the cell.");
 }
 
-// Comma list of unsigned values; K/M suffixes scale by 1024 (so
-// --dl1-sizes=8K,16K reads naturally). Bare numbers pass through.
-std::vector<std::uint32_t> parse_u32_list(const std::string& csv) {
+// Comma list of sizes or counts; K/M suffixes scale by 1024 (so
+// --dl1-sizes=8K,16K reads naturally). A malformed item exits 2.
+std::vector<std::uint32_t> parse_u32_list(const char* flag,
+                                          const std::string& csv) {
   std::vector<std::uint32_t> out;
   for (const std::string& item : split_csv(csv)) {
-    char* end = nullptr;
-    unsigned long long v = std::strtoull(item.c_str(), &end, 10);
-    if (end != nullptr && (*end == 'K' || *end == 'k')) v *= 1024ULL;
-    if (end != nullptr && (*end == 'M' || *end == 'm')) v *= 1024ULL * 1024ULL;
-    out.push_back(static_cast<std::uint32_t>(v));
+    out.push_back(sim::cli::parse_size(kProgram, flag, item));
   }
   return out;
 }
@@ -264,7 +240,7 @@ int run_worker_mode(const Options& opt) {
           std::make_unique<sim::farm::WorkerTelemetry>(opt.spool, topt);
     }
     double epoch_unix_us = 0.0;
-    if (opt.prof) {
+    if (opt.shared.prof) {
       obs::prof::begin_capture();
       epoch_unix_us = unix_now_microseconds();
     }
@@ -277,7 +253,7 @@ int run_worker_mode(const Options& opt) {
     };
     const sim::farm::WorkerReport report = sim::farm::run_worker_loop(
         opt.spool, spec, opt.max_units, on_unit_done, telemetry.get());
-    if (opt.prof) {
+    if (opt.shared.prof) {
       const obs::prof::Profile profile = obs::prof::end_capture();
       util::fs::make_directories(sim::farm::worker_trace_dir(opt.spool));
       util::fs::atomic_write_text_file(
@@ -332,9 +308,9 @@ int run_farm_status_mode(const Options& opt) {
     // until the fleet drains, so remote readers can poll a stable URL.
     std::unique_ptr<sim::farm::SpoolStatusSource> serve_source;
     std::unique_ptr<obs::http::Server> serve_server;
-    if (!opt.serve_spec.empty()) {
+    if (!opt.shared.serve.empty()) {
       sim::farm::ServeOptions serve_options;
-      sim::farm::parse_serve_spec(opt.serve_spec, &serve_options);
+      sim::farm::parse_serve_spec(opt.shared.serve, &serve_options);
       serve_source = std::make_unique<sim::farm::SpoolStatusSource>(
           opt.farm_status_dir, manifest, staleness);
       serve_server =
@@ -445,10 +421,10 @@ int run_coordinator_mode(const Options& opt, const sim::CampaignSpec& spec,
   // scope exit, after aggregation.
   std::unique_ptr<sim::farm::SpoolStatusSource> serve_source;
   std::unique_ptr<obs::http::Server> serve_server;
-  if (!opt.serve_spec.empty()) {
+  if (!opt.shared.serve.empty()) {
     try {
       sim::farm::ServeOptions serve_options;
-      sim::farm::parse_serve_spec(opt.serve_spec, &serve_options);
+      sim::farm::parse_serve_spec(opt.shared.serve, &serve_options);
       sim::farm::StalenessPolicy staleness;
       staleness.straggler_after_seconds = opt.stale_after;
       staleness.dead_after_seconds = opt.dead_after;
@@ -573,133 +549,34 @@ int run_coordinator_mode(const Options& opt, const sim::CampaignSpec& spec,
 
 int main(int argc, char** argv) {
   Options opt;
-  bool seed_given = false;
+  const auto sections = opt.sections();
+  const sim::cli::FlagTable shared_flags = opt.shared.table();
   for (int i = 1; i < argc; ++i) {
-    std::string value;
-    if (parse_flag(argv[i], "--schemes", value)) {
-      opt.schemes = value;
-    } else if (parse_flag(argv[i], "--apps", value)) {
-      opt.apps = value;
-    } else if (parse_flag(argv[i], "--trace", value)) {
-      opt.trace_path = value;
-    } else if (parse_flag(argv[i], "--shard-instructions", value)) {
-      opt.shard_instructions = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (parse_flag(argv[i], "--trials", value)) {
-      opt.trials = static_cast<std::uint32_t>(
-          std::strtoul(value.c_str(), nullptr, 10));
-    } else if (parse_flag(argv[i], "--threads", value)) {
-      opt.threads =
-          static_cast<unsigned>(std::strtoul(value.c_str(), nullptr, 10));
-    } else if (parse_flag(argv[i], "--seed", value)) {
-      opt.seed = std::strtoull(value.c_str(), nullptr, 0);
-      seed_given = true;
-    } else if (parse_flag(argv[i], "--instructions", value)) {
-      opt.instructions = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (parse_flag(argv[i], "--window", value)) {
-      opt.window = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (parse_flag(argv[i], "--warmup", value)) {
-      opt.warmup = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (parse_flag(argv[i], "--sample-windows", value)) {
-      opt.sample_windows = static_cast<std::uint32_t>(
-          std::strtoul(value.c_str(), nullptr, 10));
-    } else if (parse_flag(argv[i], "--sample-width", value)) {
-      opt.sample_width = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (parse_flag(argv[i], "--sample-mode", value)) {
-      opt.sample_mode = value;
-    } else if (parse_flag(argv[i], "--sample-seed", value)) {
-      opt.sample_seed = std::strtoull(value.c_str(), nullptr, 0);
-    } else if (parse_flag(argv[i], "--fault-model", value)) {
-      opt.fault_model = value;
-    } else if (parse_flag(argv[i], "--fault-prob", value)) {
-      opt.fault_prob = std::atof(value.c_str());
-    } else if (parse_flag(argv[i], "--dl1-sizes", value)) {
-      opt.dl1_sizes = value;
-    } else if (parse_flag(argv[i], "--dl1-assocs", value)) {
-      opt.dl1_assocs = value;
-    } else if (parse_flag(argv[i], "--ways-disabled", value)) {
-      opt.ways_disabled = value;
-    } else if (parse_flag(argv[i], "--way-pattern", value)) {
-      opt.way_pattern = value;
-    } else if (parse_flag(argv[i], "--way-seed", value)) {
-      opt.way_seed = std::strtoull(value.c_str(), nullptr, 0);
-    } else if (parse_flag(argv[i], "--csv", value)) {
-      opt.csv_path = value;
-    } else if (parse_flag(argv[i], "--json", value)) {
-      opt.json_path = value;
-    } else if (std::strcmp(argv[i], "--no-timing") == 0) {
-      opt.no_timing = true;
-    } else if (std::strcmp(argv[i], "--quiet") == 0) {
-      opt.quiet = true;
-    } else if (std::strcmp(argv[i], "--progress") == 0) {
-      opt.progress = true;
-    } else if (parse_flag(argv[i], "--farm", value)) {
-      opt.farm_dir = value;
-    } else if (parse_flag(argv[i], "--workers", value)) {
-      opt.workers =
-          static_cast<unsigned>(std::strtoul(value.c_str(), nullptr, 10));
-      opt.workers_given = true;
-    } else if (parse_flag(argv[i], "--unit-cells", value)) {
-      opt.unit_cells = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--resume") == 0) {
-      opt.resume = true;
-    } else if (std::strcmp(argv[i], "--worker") == 0) {
-      opt.worker = true;
-    } else if (parse_flag(argv[i], "--spool", value)) {
-      opt.spool = value;
-    } else if (parse_flag(argv[i], "--max-units", value)) {
-      opt.max_units = static_cast<std::uint32_t>(
-          std::strtoul(value.c_str(), nullptr, 10));
-    } else if (parse_flag(argv[i], "--worker-id", value)) {
-      opt.worker_id = value;
-    } else if (parse_flag(argv[i], "--heartbeat", value)) {
-      opt.heartbeat_seconds = std::atof(value.c_str());
-    } else if (parse_flag(argv[i], "--farm-trace-out", value)) {
-      opt.farm_trace_out = value;
-    } else if (parse_flag(argv[i], "--farm-status", value)) {
-      opt.farm_status_dir = value;
-    } else if (std::strcmp(argv[i], "--watch") == 0) {
-      opt.watch_seconds = 2.0;
-    } else if (parse_flag(argv[i], "--watch", value)) {
-      opt.watch_seconds = std::atof(value.c_str());
-    } else if (parse_flag(argv[i], "--status-json", value)) {
-      opt.status_json = value;
-    } else if (parse_flag(argv[i], "--stale-after", value)) {
-      opt.stale_after = std::atof(value.c_str());
-    } else if (parse_flag(argv[i], "--dead-after", value)) {
-      opt.dead_after = std::atof(value.c_str());
-    } else if (parse_flag(argv[i], "--serve", value)) {
-      opt.serve_spec = value;
-    } else if (parse_flag(argv[i], "--stats-interval", value)) {
-      opt.stats_interval = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (parse_flag(argv[i], "--intervals-out", value)) {
-      opt.intervals_out = value;
-    } else if (parse_flag(argv[i], "--heatmap-out", value)) {
-      opt.heatmap_out = value;
-    } else if (parse_flag(argv[i], "--trace-out", value)) {
-      opt.trace_out = value;
-    } else if (parse_flag(argv[i], "--trace-filter", value)) {
-      opt.trace_filter = value;
-    } else if (std::strcmp(argv[i], "--rel") == 0) {
-      opt.rel = true;
-    } else if (parse_flag(argv[i], "--rel-csv", value)) {
-      opt.rel_csv = value;
-    } else if (parse_flag(argv[i], "--rel-json", value)) {
-      opt.rel_json = value;
-    } else if (parse_flag(argv[i], "--rel-intervals", value)) {
-      opt.rel_intervals = value;
-    } else if (std::strcmp(argv[i], "--prof") == 0) {
-      opt.prof = true;
-    } else if (parse_flag(argv[i], "--prof-out", value)) {
-      opt.prof_out = value;
-      opt.prof = true;
-    } else if (std::strcmp(argv[i], "--help") == 0 ||
-               std::strcmp(argv[i], "-h") == 0) {
+    if (std::strcmp(argv[i], "--help") == 0 ||
+        std::strcmp(argv[i], "-h") == 0) {
       usage();
       return 0;
-    } else {
-      sim::cli::unknown_flag("run_campaign", argv[i]);
     }
+    if (std::strcmp(argv[i], "--watch") == 0) {
+      opt.watch_seconds = 2.0;
+      continue;
+    }
+    bool matched = sim::cli::match_flag(kProgram, argv[i], shared_flags);
+    for (const auto& section : sections) {
+      matched = matched || sim::cli::match_flag(kProgram, argv[i],
+                                                section.second);
+    }
+    if (!matched) sim::cli::unknown_flag(kProgram, argv[i]);
   }
+  // run_campaign's own output defaults, then the shared implications:
+  // --stats-interval alone writes intervals.csv, --rel alone rel.csv.
+  if (opt.shared.stats_interval != 0 && opt.shared.intervals_out.empty()) {
+    opt.shared.intervals_out = "intervals.csv";
+  }
+  const bool rel_output = !opt.rel_csv.empty() || !opt.rel_json.empty() ||
+                          !opt.rel_intervals.empty();
+  if (opt.shared.rel && !rel_output) opt.rel_csv = "rel.csv";
+  opt.shared.imply(rel_output);
 
   if (!opt.farm_status_dir.empty()) {
     if (opt.worker || !opt.farm_dir.empty()) {
@@ -714,7 +591,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "--worker and --farm are mutually exclusive\n");
       return 2;
     }
-    if (!opt.serve_spec.empty()) {
+    if (!opt.shared.serve.empty()) {
       std::fprintf(stderr,
                    "--serve belongs to the coordinator, in-process, or "
                    "--farm-status invocation, not to workers\n");
@@ -730,36 +607,25 @@ int main(int argc, char** argv) {
   sim::CampaignSpec spec;
   spec.trials = opt.trials == 0 ? 1 : opt.trials;
   spec.base_seed = opt.seed;
-  spec.instructions = opt.instructions;
-  spec.derive_seeds = spec.trials > 1 || seed_given;
-  spec.config.fault_model = fault_by_name(opt.fault_model);
-  spec.config.fault_probability = opt.fault_prob;
-  spec.sampling.warmup_instructions = opt.warmup;
-  spec.sampling.windows = opt.sample_windows;
-  spec.sampling.window_width = opt.sample_width;
-  spec.sampling.mode = sim::cli::sample_mode_by_name(opt.sample_mode);
-  spec.sampling.seed = opt.sample_seed;
-
+  spec.derive_seeds = spec.trials > 1 || opt.seed_given;
   if (opt.schemes.empty()) {
     for (core::Scheme s : core::Scheme::all_paper_schemes()) {
       std::string label = s.name;
-      spec.variants.emplace_back(std::move(label),
-                                 s.with_decay_window(opt.window));
+      spec.variants.emplace_back(std::move(label), std::move(s));
     }
   } else {
     for (const std::string& name : split_csv(opt.schemes)) {
-      spec.variants.emplace_back(
-          name, scheme_by_name(name).with_decay_window(opt.window));
+      spec.variants.emplace_back(name, scheme_by_name(name));
     }
   }
-  if (!opt.trace_path.empty()) {
+  opt.shared.apply(spec);
+  if (spec.trace.enabled()) {
     if (!opt.apps.empty()) {
       std::fprintf(stderr,
                    "--trace replaces the app axis with trace interval "
                    "shards; drop --apps\n");
       return 2;
     }
-    spec.trace.path = opt.trace_path;
     spec.trace.shard_instructions = opt.shard_instructions;
     try {
       sim::resolve_trace_campaign(spec);
@@ -785,36 +651,22 @@ int main(int argc, char** argv) {
 
   // Geometry sweep: cross every scheme variant with the requested dL1
   // geometry/way-disable cells before the grid is hashed or sharded.
-  if (!opt.dl1_sizes.empty() || !opt.dl1_assocs.empty() ||
-      !opt.ways_disabled.empty()) {
-    if (opt.way_pattern != "fixed" && opt.way_pattern != "random") {
-      std::fprintf(stderr, "bad --way-pattern '%s' (fixed|random)\n",
-                   opt.way_pattern.c_str());
-      return 2;
-    }
-    spec.geometry.sizes = parse_u32_list(opt.dl1_sizes);
-    spec.geometry.assocs = parse_u32_list(opt.dl1_assocs);
-    spec.geometry.ways_disabled = parse_u32_list(opt.ways_disabled);
-    spec.geometry.pattern = opt.way_pattern == "random"
-                                ? mem::WayDisableConfig::Pattern::kRandom
-                                : mem::WayDisableConfig::Pattern::kFixed;
-    spec.geometry.way_seed = opt.way_seed;
-    try {
-      sim::expand_geometry_sweep(spec);
-    } catch (const std::exception& error) {
-      std::fprintf(stderr, "run_campaign: %s\n", error.what());
-      return 2;
-    }
+  spec.geometry.sizes = parse_u32_list("--dl1-sizes", opt.dl1_sizes);
+  spec.geometry.assocs = parse_u32_list("--dl1-assocs", opt.dl1_assocs);
+  spec.geometry.ways_disabled =
+      parse_u32_list("--ways-disabled", opt.ways_disabled);
+  try {
+    sim::expand_geometry_sweep(spec);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "run_campaign: %s\n", error.what());
+    return 2;
   }
 
   if (!opt.farm_dir.empty()) {
     // Telemetry/rel/prof extracts are per-cell in-memory objects; the farm
     // checkpoints only the exported metric schema, so those flags have no
     // farm equivalent yet. Reject loudly rather than silently dropping.
-    if (opt.stats_interval != 0 || !opt.intervals_out.empty() ||
-        !opt.heatmap_out.empty() || !opt.trace_out.empty() || opt.rel ||
-        !opt.rel_csv.empty() || !opt.rel_json.empty() ||
-        !opt.rel_intervals.empty() || opt.prof || !opt.prof_out.empty()) {
+    if (spec.obs.any() || spec.rel.enabled || opt.shared.prof) {
       std::fprintf(stderr,
                    "--farm does not support the telemetry/rel/prof flags; "
                    "run those in-process\n");
@@ -827,47 +679,13 @@ int main(int argc, char** argv) {
     return run_coordinator_mode(farm_opt, spec, argv[0]);
   }
 
-  // Observability: interval sampling and/or event tracing per cell. The
-  // options never enter the campaign config hash — telemetry must not
-  // change any result.
-  if (opt.stats_interval != 0 && opt.intervals_out.empty()) {
-    opt.intervals_out = "intervals.csv";
-  }
-  if (opt.stats_interval == 0 &&
-      (!opt.intervals_out.empty() || !opt.heatmap_out.empty())) {
-    opt.stats_interval = obs::kDefaultStatsInterval;
-  }
-  // Analytical reliability tracking: any rel export implies enabling the
-  // tracker; --rel alone defaults to rel.csv. Like obs, rel options never
-  // enter the config hash.
-  if (!opt.rel_csv.empty() || !opt.rel_json.empty() ||
-      !opt.rel_intervals.empty()) {
-    opt.rel = true;
-  }
-  if (opt.rel && opt.rel_csv.empty() && opt.rel_json.empty() &&
-      opt.rel_intervals.empty()) {
-    opt.rel_csv = "rel.csv";
-  }
-  spec.rel.enabled = opt.rel;
-  spec.rel.probability = opt.fault_prob;
-
-  spec.obs.stats_interval = opt.stats_interval;
-  if (!opt.trace_out.empty()) {
-    spec.obs.trace_categories = obs::parse_category_list(opt.trace_filter);
-    if (spec.obs.trace_categories == 0) {
-      std::fprintf(stderr, "bad --trace-filter '%s'\n",
-                   opt.trace_filter.c_str());
-      return 2;
-    }
-  }
-
   sim::CampaignRunner runner(opt.threads);
   std::unique_ptr<sim::farm::CampaignStatusSource> serve_source;
   std::unique_ptr<obs::http::Server> serve_server;
-  if (!opt.serve_spec.empty()) {
+  if (!opt.shared.serve.empty()) {
     try {
       sim::farm::ServeOptions serve_options;
-      sim::farm::parse_serve_spec(opt.serve_spec, &serve_options);
+      sim::farm::parse_serve_spec(opt.shared.serve, &serve_options);
       serve_source = std::make_unique<sim::farm::CampaignStatusSource>(
           spec.cell_count(), spec.instructions);
       serve_server =
@@ -895,7 +713,7 @@ int main(int argc, char** argv) {
               spec.trace.enabled() ? "trace shard(s)" : "app(s)", spec.trials,
               spec.cell_count(), runner.threads());
 
-  if (opt.prof) obs::prof::begin_capture();
+  if (opt.shared.prof) obs::prof::begin_capture();
   const sim::CampaignResult campaign = runner.run(spec);
   if (serve_source != nullptr) serve_source->finish();
 
@@ -943,62 +761,22 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(campaign.meta.config_hash),
               static_cast<unsigned long long>(campaign.meta.base_seed));
 
+  using sim::cli::write_output;
   try {
-    if (!opt.csv_path.empty()) {
-      sim::write_text_file(opt.csv_path, sim::to_csv(campaign));
-      std::printf("wrote %s\n", opt.csv_path.c_str());
-    }
-    if (!opt.json_path.empty()) {
-      sim::write_text_file(opt.json_path,
-                           sim::to_json(campaign, !opt.no_timing));
-      std::printf("wrote %s\n", opt.json_path.c_str());
-    }
-    if (!opt.intervals_out.empty()) {
-      sim::write_text_file(opt.intervals_out, sim::intervals_to_csv(campaign));
-      std::printf("wrote %s\n", opt.intervals_out.c_str());
-    }
-    if (!opt.heatmap_out.empty()) {
-      sim::write_text_file(opt.heatmap_out, sim::occupancy_to_csv(campaign));
-      std::printf("wrote %s\n", opt.heatmap_out.c_str());
-    }
-    if (!opt.trace_out.empty()) {
-      sim::write_text_file(opt.trace_out, sim::trace_to_ndjson(campaign));
-      std::printf("wrote %s\n", opt.trace_out.c_str());
-    }
-    if (!opt.rel_csv.empty()) {
-      sim::write_text_file(opt.rel_csv, sim::rel_to_csv(campaign));
-      std::printf("wrote %s\n", opt.rel_csv.c_str());
-    }
-    if (!opt.rel_json.empty()) {
-      sim::write_text_file(opt.rel_json, sim::rel_to_json(campaign));
-      std::printf("wrote %s\n", opt.rel_json.c_str());
-    }
-    if (!opt.rel_intervals.empty()) {
-      sim::write_text_file(opt.rel_intervals,
-                           sim::rel_intervals_to_csv(campaign));
-      std::printf("wrote %s\n", opt.rel_intervals.c_str());
-    }
+    write_output(opt.csv_path, [&] { return sim::to_csv(campaign); });
+    write_output(opt.json_path,
+                 [&] { return sim::to_json(campaign, !opt.no_timing); });
+    opt.shared.write_outputs(campaign);
+    write_output(opt.rel_csv, [&] { return sim::rel_to_csv(campaign); });
+    write_output(opt.rel_json, [&] { return sim::rel_to_json(campaign); });
+    write_output(opt.rel_intervals,
+                 [&] { return sim::rel_intervals_to_csv(campaign); });
+    // Capture ends after the exports so ResultsIO zones are included; each
+    // campaign cell shows up as a labelled span in the trace.
+    if (opt.shared.prof) opt.shared.finish_profile(kProgram, stdout);
   } catch (const std::exception& error) {
     std::fprintf(stderr, "export failed: %s\n", error.what());
     return 1;
-  }
-
-  // Capture ends after the exports so ResultsIO zones are included; each
-  // campaign cell shows up as a labelled span in the trace.
-  if (opt.prof) {
-    const obs::prof::Profile profile = obs::prof::end_capture();
-    std::fputs(obs::prof::format_self_time_table(profile).c_str(), stdout);
-    if (!opt.prof_out.empty()) {
-      try {
-        sim::write_text_file(
-            opt.prof_out, obs::prof::to_chrome_trace(profile, "run_campaign"));
-        std::printf("wrote host profile to %s (open in Perfetto)\n",
-                    opt.prof_out.c_str());
-      } catch (const std::exception& error) {
-        std::fprintf(stderr, "profile export failed: %s\n", error.what());
-        return 1;
-      }
-    }
   }
   return 0;
 }
